@@ -53,7 +53,7 @@ cover:
 	$(GO) test -coverprofile=cover_coalesce.out ./internal/coalesce/
 	$(GO) test -coverprofile=cover_tenant.out ./internal/tenant/
 	$(GO) test -coverprofile=cover_extstore.out ./internal/extstore/
-	$(GO) test -coverprofile=cover_sketch.out ./internal/sketch/
+	$(GO) test -coverprofile=cover_stats.out ./internal/stats/
 	$(GO) test -coverprofile=cover_slo.out ./internal/slo/
 	./scripts/coverfloor.sh cover_cache.out 95.2 internal/cache
 	./scripts/coverfloor.sh cover_protocol.out 90.6 internal/protocol
@@ -65,7 +65,7 @@ cover:
 	./scripts/coverfloor.sh cover_coalesce.out 90.0 internal/coalesce
 	./scripts/coverfloor.sh cover_tenant.out 90.0 internal/tenant
 	./scripts/coverfloor.sh cover_extstore.out 85.0 internal/extstore
-	./scripts/coverfloor.sh cover_sketch.out 90.0 internal/sketch
+	./scripts/coverfloor.sh cover_stats.out 90.0 internal/stats
 	./scripts/coverfloor.sh cover_slo.out 85.0 internal/slo
 
 # Fuzz smoke: 30s over the reusable-buffer parser (ReadCommand and
@@ -110,13 +110,13 @@ bench-conns:
 bench-extstore:
 	$(GO) test -run '^$$' -bench 'BenchmarkExtstoreRead|BenchmarkExtstoreWrite' -benchmem ./internal/extstore/
 
-# SLO watchdog benchmarks: the sketch's per-observation record cost
-# (must stay zero-alloc — it rides the telemetry hot path) and the
-# per-window watchdog tick. BENCH_slo.json records the last blessed
-# numbers.
+# SLO watchdog benchmarks: the per-observation cost through a watchdog
+# Shard handle (must stay zero-alloc — it rides the telemetry hot path)
+# and the per-window watchdog tick. BENCH_slo.json records the last
+# blessed numbers.
 bench-slo:
-	$(GO) test -run '^$$' -bench 'BenchmarkSketchRecord|BenchmarkWatchdogTick' -benchmem \
-		./internal/sketch/ ./internal/slo/
+	$(GO) test -run '^$$' -bench 'BenchmarkWatchdogObserve|BenchmarkWatchdogTick' -benchmem \
+		./internal/slo/
 
 # Compare current benchmark runs against the checked-in baselines the
 # way CI does: >20% ns/op regression or any allocation appearing on a
@@ -133,8 +133,8 @@ bench-check:
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_conns.json
 	$(GO) test -run '^$$' -bench 'BenchmarkExtstoreRead|BenchmarkExtstoreWrite' -benchmem ./internal/extstore/ \
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_extstore.json
-	$(GO) test -run '^$$' -bench 'BenchmarkSketchRecord|BenchmarkWatchdogTick' -benchmem \
-		./internal/sketch/ ./internal/slo/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkWatchdogObserve|BenchmarkWatchdogTick' -benchmem \
+		./internal/slo/ \
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_slo.json
 
 # Observability smoke: a short live-plane run with the admin plane and
@@ -157,12 +157,12 @@ obs:
 # SLO watchdog smoke: the drift experiment (sim determinism + live
 # detection + healthy-ramp false-alarm sweep), the shell smoke (server
 # overload attribution on /debug/watch, exemplars, live-plane db fault)
-# and the sketch/watchdog benchdiff gate.
+# and the watchdog benchdiff gate.
 slo:
 	$(GO) test -run TestDrift -count=1 -v ./internal/experiments/
 	./scripts/slo_smoke.sh
-	$(GO) test -run '^$$' -bench 'BenchmarkSketchRecord|BenchmarkWatchdogTick' -benchmem \
-		./internal/sketch/ ./internal/slo/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkWatchdogObserve|BenchmarkWatchdogTick' -benchmem \
+		./internal/slo/ \
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_slo.json
 
 repro:

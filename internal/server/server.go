@@ -176,8 +176,9 @@ type Server struct {
 	serviceCh []sync.Mutex
 
 	// latency tracks per-command handling time, served by "stats
-	// latency" (a memqlat observability extension).
-	latency latencyTracker
+	// latency" (a memqlat observability extension). Each connection
+	// records into its own stripe.
+	latency *stats.StripedHistogram
 
 	// core owns connection handling after accept: either one goroutine
 	// per connection or the shared event loop (see core.go).
@@ -195,55 +196,16 @@ type Server struct {
 	promotions atomic.Int64
 }
 
-// latencyStripes is the number of lock domains in latencyTracker
-// (power of two: connections map to stripes by masked id).
-const latencyStripes = 8
-
-// latencyTracker is a striped latency histogram: each connection records
-// into its own stripe so per-command timing never serializes the
-// connections against each other; snapshot merges the stripes.
-type latencyTracker struct {
-	stripes [latencyStripes]latencyStripe
-}
-
-type latencyStripe struct {
-	mu   sync.Mutex
-	hist *stats.Histogram
-}
-
-// stripe returns the lock domain for the connection identified by hint.
-func (l *latencyTracker) stripe(hint uint64) *latencyStripe {
-	return &l.stripes[hint&(latencyStripes-1)]
-}
-
-func (ls *latencyStripe) record(seconds float64) {
-	ls.mu.Lock()
-	if ls.hist == nil {
-		ls.hist = stats.NewHistogram()
-	}
-	ls.hist.Record(seconds)
-	ls.mu.Unlock()
-}
-
 type statRow struct{ k, v string }
 
-func (l *latencyTracker) snapshot() []statRow {
-	merged := stats.NewHistogram()
-	for i := range l.stripes {
-		ls := &l.stripes[i]
-		ls.mu.Lock()
-		if ls.hist != nil {
-			// Identical bucketing by construction; Merge cannot fail.
-			_ = merged.Merge(ls.hist)
-		}
-		ls.mu.Unlock()
-	}
-	if merged.Count() == 0 {
+// latencyRows renders the "stats latency" quantile rows of h.
+func latencyRows(h *stats.Histogram) []statRow {
+	if h.Count() == 0 {
 		return []statRow{{"latency:count", "0"}}
 	}
 	rows := []statRow{
-		{"latency:count", fmt.Sprintf("%d", merged.Count())},
-		{"latency:mean_us", fmt.Sprintf("%.1f", merged.Mean()*1e6)},
+		{"latency:count", fmt.Sprintf("%d", h.Count())},
+		{"latency:mean_us", fmt.Sprintf("%.1f", h.Mean()*1e6)},
 	}
 	for _, q := range []struct {
 		name  string
@@ -251,7 +213,7 @@ func (l *latencyTracker) snapshot() []statRow {
 	}{{"p50", 0.5}, {"p90", 0.9}, {"p99", 0.99}, {"p999", 0.999}} {
 		rows = append(rows, statRow{
 			"latency:" + q.name + "_us",
-			fmt.Sprintf("%.1f", merged.MustQuantile(q.level)*1e6),
+			fmt.Sprintf("%.1f", h.MustQuantile(q.level)*1e6),
 		})
 	}
 	return rows
@@ -304,6 +266,7 @@ func New(opts Options) (*Server, error) {
 		telem:      telem,
 		rec:        telemetry.Tee(telem, opts.Recorder),
 		serviceCh:  make([]sync.Mutex, opts.ServiceChannels),
+		latency:    stats.NewStripedHistogram(),
 		timingMask: timingMask,
 		timingOff:  timingOff,
 	}
@@ -773,8 +736,7 @@ func (s *Server) writeStats(w *protocol.Writer, section string) error {
 		return w.End()
 	case "latency":
 		// memqlat extension: server-side per-command latency quantiles.
-		snap := s.latency.snapshot()
-		for _, row := range snap {
+		for _, row := range latencyRows(s.latency.Snapshot()) {
 			if err := w.Stat(row.k, row.v); err != nil {
 				return err
 			}
@@ -783,11 +745,7 @@ func (s *Server) writeStats(w *protocol.Writer, section string) error {
 		// 1 in sample_every commands per connection, so bursty
 		// pipelines under-represent mid-burst commands; shaped
 		// connections (and traced commands) are always timed.
-		sampleEvery := int64(s.timingMask) + 1
-		if s.timingOff {
-			sampleEvery = 0
-		}
-		if err := w.Stat("latency:sample_every", fmt.Sprintf("%d", sampleEvery)); err != nil {
+		if err := w.Stat("latency:sample_every", fmt.Sprintf("%d", s.LatencySampleEvery())); err != nil {
 			return err
 		}
 		if err := w.Stat("latency:sample_bias",
@@ -972,15 +930,5 @@ func (s *Server) LatencySampleEvery() int {
 // LatencyHistogram snapshots the merged per-command latency histogram
 // behind "stats latency". The copy is private to the caller.
 func (s *Server) LatencyHistogram() *stats.Histogram {
-	merged := stats.NewHistogram()
-	for i := range s.latency.stripes {
-		ls := &s.latency.stripes[i]
-		ls.mu.Lock()
-		if ls.hist != nil {
-			// Identical bucketing by construction; Merge cannot fail.
-			_ = merged.Merge(ls.hist)
-		}
-		ls.mu.Unlock()
-	}
-	return merged
+	return s.latency.Snapshot()
 }

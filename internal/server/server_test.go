@@ -691,6 +691,40 @@ func TestTimingSampleOff(t *testing.T) {
 	}
 }
 
+// TestShapedServerReportsSampleEveryOne: a shaped server times every
+// command, so "stats latency" must disclose sample_every 1 — the same k
+// LatencySampleEvery (and the scrape-time rescaling) uses — not the
+// unshaped sampling mask.
+func TestShapedServerReportsSampleEveryOne(t *testing.T) {
+	srv, addr := startServer(t, Options{ServiceRate: 50000})
+	r, w, _ := dial(t, addr)
+	const n = 10
+	for i := 0; i < n; i++ {
+		send(t, w, "get k\r\n")
+		readLine(t, r)
+	}
+	if got := srv.LatencySampleEvery(); got != 1 {
+		t.Fatalf("LatencySampleEvery() = %d on a shaped server, want 1", got)
+	}
+	if got := srv.LatencyHistogram().Count(); got != n {
+		t.Errorf("shaped server timed %d of %d commands", got, n)
+	}
+	send(t, w, "stats latency\r\n")
+	var row string
+	for {
+		line := readLine(t, r)
+		if line == "END" {
+			break
+		}
+		if strings.HasPrefix(line, "STAT latency:sample_every ") {
+			row = line
+		}
+	}
+	if row != "STAT latency:sample_every 1" {
+		t.Errorf("stats latency row = %q, want \"STAT latency:sample_every 1\"", row)
+	}
+}
+
 func TestTimingSampleRoundsUp(t *testing.T) {
 	srv, err := New(Options{Cache: mustCache(t), TimingSample: 5})
 	if err != nil {

@@ -61,8 +61,39 @@ func TestNewWatchdogValidation(t *testing.T) {
 	if _, err := NewWatchdog(Config{Band: 0.5}); err == nil {
 		t.Errorf("band <= 1: want error")
 	}
-	if _, err := NewWatchdog(Config{RelativeError: 0.9}); err == nil {
-		t.Errorf("bad alpha: want error")
+}
+
+// TestNewWatchdogRejectsBadBurnConfig covers the burn-rate knobs: a
+// non-positive ring size used to pass construction and panic at the
+// first window close.
+func TestNewWatchdogRejectsBadBurnConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"short=-1", Config{ShortWindows: -1}},
+		{"long=-1", Config{LongWindows: -1}},
+		{"budget<0", Config{Budget: -0.01}},
+		{"budget>1", Config{Budget: 1.5}},
+		{"budget NaN", Config{Budget: math.NaN()}},
+		{"burn<0", Config{Burn: -1}},
+		{"target<0", Config{Target: -1e-3}},
+		{"target NaN", Config{Target: math.NaN()}},
+		{"min-samples<0", Config{MinSamples: -5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := NewWatchdog(tc.cfg)
+			if err == nil {
+				t.Fatalf("NewWatchdog(%+v): want error", tc.cfg)
+			}
+			if w != nil {
+				t.Fatalf("NewWatchdog returned a watchdog with error %v", err)
+			}
+		})
+	}
+	// The boundary values are valid.
+	if _, err := NewWatchdog(Config{Budget: 1, ShortWindows: 1, LongWindows: 1, Target: 0}); err != nil {
+		t.Fatalf("boundary config rejected: %v", err)
 	}
 }
 
@@ -354,14 +385,14 @@ func TestServeHTTP(t *testing.T) {
 
 func TestParseSpec(t *testing.T) {
 	cfg, m, err := ParseSpec(
-		"window=250ms,k=3,band=2.5,target=5ms,budget=0.002,burn=8,short=2,long=6,alpha=0.02,min-samples=30," +
+		"window=250ms,k=3,band=2.5,target=5ms,budget=0.002,burn=8,short=2,long=6,min-samples=30," +
 			"lambda=2000,mus=2000,mud=500,q=0.1,xi=1,miss=0.2,n=10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Window != 0.25 || cfg.K != 3 || cfg.Band != 2.5 || cfg.Target != 5e-3 ||
 		cfg.Budget != 0.002 || cfg.Burn != 8 || cfg.ShortWindows != 2 || cfg.LongWindows != 6 ||
-		cfg.RelativeError != 0.02 || cfg.MinSamples != 30 {
+		cfg.MinSamples != 30 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if m.Lambda != 2000 || m.MuS != 2000 || m.MuD != 500 || m.Q != 0.1 || m.Xi != 1 ||
@@ -377,16 +408,33 @@ func TestParseSpec(t *testing.T) {
 	if _, _, err := ParseSpec("  "); err != nil {
 		t.Fatalf("empty spec: %v", err)
 	}
-	for _, bad := range []string{"window", "nope=1", "k=abc", "window=xyz"} {
+	for _, bad := range []string{"window", "nope=1", "k=abc", "window=xyz", "alpha=0.02"} {
 		if _, _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q): want error", bad)
 		}
 	}
 }
 
+// BenchmarkWatchdogObserve is benchdiff-gated in BENCH_slo.json: the
+// per-observation cost every tier pays through its Shard handle when a
+// watchdog is armed. It must stay zero-alloc.
+func BenchmarkWatchdogObserve(b *testing.B) {
+	w, err := NewWatchdog(testConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.Arm()
+	h := telemetry.Shard(w, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(telemetry.StageMissPenalty, 123e-6)
+	}
+}
+
 // BenchmarkWatchdogTick is benchdiff-gated in BENCH_slo.json: one
 // window close over a realistically loaded watchdog (three active
-// stages plus the end-to-end sketch).
+// stages plus the end-to-end histogram).
 func BenchmarkWatchdogTick(b *testing.B) {
 	cfg := testConfig()
 	cfg.Target = 5e-3

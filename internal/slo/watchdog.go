@@ -6,10 +6,10 @@
 //
 // The watchdog is a telemetry.Recorder (and Sharder), so it tees into
 // the exact observation stream the planes already produce: every stage
-// observation lands in a per-stage streaming quantile sketch
-// (internal/sketch; zero-alloc Record). At each window boundary —
+// observation lands in a per-stage lock-striped histogram (a
+// telemetry.Collector; zero-alloc Record). At each window boundary —
 // real time on the live plane, virtual time on the simulator — the
-// sketches are snapshotted, reset, and the frozen window is judged:
+// histograms are drained, and the frozen window is judged:
 //
 //   - A stage drifts when an observed quantile exceeds its predicted
 //     value by more than the band factor for K consecutive evaluated
@@ -42,7 +42,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"memqlat/internal/sketch"
+	"memqlat/internal/stats"
 	"memqlat/internal/telemetry"
 )
 
@@ -76,8 +76,6 @@ type Config struct {
 	// windows (defaults 4 and 16).
 	ShortWindows int
 	LongWindows  int
-	// RelativeError is the sketch accuracy α (default 0.01).
-	RelativeError float64
 	// MinSamples is the per-stage observation floor below which a
 	// window is not evaluated for that stage — the drift streak is
 	// kept, not reset, so a stalled tier cannot launder its drift by
@@ -114,21 +112,18 @@ func (c Config) withDefaults() Config {
 	if c.LongWindows == 0 {
 		c.LongWindows = 16
 	}
-	if c.RelativeError == 0 {
-		c.RelativeError = 0.01
-	}
 	if c.MinSamples == 0 {
 		c.MinSamples = 20
 	}
 	return c
 }
 
-// stageState is the per-stage half of the watchdog: the live window
-// sketch plus the drift bookkeeping the evaluator updates at window
+// stageState is the per-stage half of the watchdog: the last drained
+// window plus the drift bookkeeping the evaluator updates at window
 // boundaries (under Watchdog.mu).
 type stageState struct {
 	stage     telemetry.Stage
-	sk        *sketch.Sketch
+	win       *stats.Histogram
 	pred      [3]float64
 	hasBand   bool
 	pointMass bool
@@ -146,9 +141,12 @@ type stageState struct {
 type Watchdog struct {
 	cfg    Config
 	armed  atomic.Bool
-	stages []*stageState // indexed by int(telemetry.Stage); nil gaps allowed
-	total  *sketch.Sketch
-	shards [8]shardRec
+	stages []*stageState // in telemetry.Stages() order
+	// obs and total collect the open window's per-stage and end-to-end
+	// observations; totalWin is total's last drained window.
+	obs      *telemetry.Collector
+	total    *stats.StripedHistogram
+	totalWin *stats.Histogram
 
 	// next is the index of the oldest unclosed window; Advance's fast
 	// path reads it without taking mu.
@@ -170,46 +168,43 @@ type Watchdog struct {
 
 // NewWatchdog constructs a watchdog from cfg. Stages present in
 // cfg.Predicted with at least one predicted observation are banded;
-// every telemetry stage is sketched regardless so /debug/watch shows
+// every telemetry stage is recorded regardless so /debug/watch shows
 // the full observed decomposition.
 func NewWatchdog(cfg Config) (*Watchdog, error) {
 	cfg = cfg.withDefaults()
-	if !(cfg.Window > 0) {
+	switch {
+	case !(cfg.Window > 0):
 		return nil, fmt.Errorf("slo: window %v must be positive", cfg.Window)
-	}
-	if cfg.K < 1 {
+	case cfg.K < 1:
 		return nil, fmt.Errorf("slo: k %d must be >= 1", cfg.K)
-	}
-	if !(cfg.Band > 1) {
+	case !(cfg.Band > 1):
 		return nil, fmt.Errorf("slo: band factor %v must exceed 1", cfg.Band)
+	case !(cfg.Target >= 0):
+		return nil, fmt.Errorf("slo: target %v must be >= 0", cfg.Target)
+	case !(cfg.Budget > 0 && cfg.Budget <= 1):
+		return nil, fmt.Errorf("slo: budget %v must be in (0, 1]", cfg.Budget)
+	case !(cfg.Burn > 0):
+		return nil, fmt.Errorf("slo: burn threshold %v must be positive", cfg.Burn)
+	case cfg.ShortWindows < 1 || cfg.LongWindows < 1:
+		return nil, fmt.Errorf("slo: short/long windows %d/%d must be >= 1",
+			cfg.ShortWindows, cfg.LongWindows)
+	case cfg.MinSamples < 0:
+		return nil, fmt.Errorf("slo: min-samples %d must be >= 0", cfg.MinSamples)
 	}
-	maxStage := 0
-	for _, st := range telemetry.Stages() {
-		if int(st) > maxStage {
-			maxStage = int(st)
-		}
+	w := &Watchdog{
+		cfg:      cfg,
+		obs:      telemetry.NewCollector(),
+		total:    stats.NewStripedHistogram(),
+		totalWin: stats.NewHistogram(),
 	}
-	w := &Watchdog{cfg: cfg, stages: make([]*stageState, maxStage+1)}
 	for _, st := range telemetry.Stages() {
-		sk, err := sketch.New(sketch.Options{RelativeError: cfg.RelativeError})
-		if err != nil {
-			return nil, err
-		}
-		ss := &stageState{stage: st, sk: sk}
+		ss := &stageState{stage: st, win: stats.NewHistogram()}
 		if p, ok := cfg.Predicted[st]; ok && p.Count > 0 {
 			ss.pred = [3]float64{p.P50, p.P95, p.P99}
 			ss.hasBand = ss.pred[0] > 0 || ss.pred[1] > 0 || ss.pred[2] > 0
 			ss.pointMass = p.P50 == p.P95 && p.P95 == p.P99
 		}
-		w.stages[int(st)] = ss
-	}
-	tot, err := sketch.New(sketch.Options{RelativeError: cfg.RelativeError})
-	if err != nil {
-		return nil, err
-	}
-	w.total = tot
-	for i := range w.shards {
-		w.shards[i] = shardRec{w: w, hint: uint64(i)}
+		w.stages = append(w.stages, ss)
 	}
 	return w, nil
 }
@@ -217,57 +212,37 @@ func NewWatchdog(cfg Config) (*Watchdog, error) {
 // Window reports the configured window length in seconds.
 func (w *Watchdog) Window() float64 { return w.cfg.Window }
 
-// Arm starts accepting observations. Before Arm every Observe is
-// dropped, so warm-up traffic (cache population) cannot pollute the
-// first window.
-func (w *Watchdog) Arm() { w.armed.Store(true) }
+// Arm starts the watchdog's windows and discards everything observed
+// before it, so warm-up traffic (cache population) cannot pollute the
+// first window. Arming an armed watchdog is a no-op.
+func (w *Watchdog) Arm() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.armed.Load() {
+		return
+	}
+	w.drainLocked()
+	w.armed.Store(true)
+}
 
-// Armed reports whether the watchdog is accepting observations.
+// Armed reports whether Arm has started the watchdog's windows.
 func (w *Watchdog) Armed() bool { return w.armed.Load() }
 
 // Observe implements telemetry.Recorder (stripe 0). Hot paths obtain a
 // striped handle via Shard.
 func (w *Watchdog) Observe(stage telemetry.Stage, seconds float64) {
-	if !w.armed.Load() {
-		return
-	}
-	i := int(stage)
-	if i < 0 || i >= len(w.stages) || w.stages[i] == nil {
-		return
-	}
-	w.stages[i].sk.Record(seconds)
+	w.obs.Observe(stage, seconds)
 }
 
-// Shard implements telemetry.Sharder. The handles are preallocated, so
-// sharding a watchdog never allocates.
+// Shard implements telemetry.Sharder with the collector's handles.
 func (w *Watchdog) Shard(hint uint64) telemetry.Recorder {
-	return &w.shards[hint&uint64(len(w.shards)-1)]
-}
-
-type shardRec struct {
-	w    *Watchdog
-	hint uint64
-}
-
-func (r *shardRec) Observe(stage telemetry.Stage, seconds float64) {
-	w := r.w
-	if !w.armed.Load() {
-		return
-	}
-	i := int(stage)
-	if i < 0 || i >= len(w.stages) || w.stages[i] == nil {
-		return
-	}
-	w.stages[i].sk.Stripe(r.hint).Record(seconds)
+	return w.obs.Shard(hint)
 }
 
 // OnLatency records one end-to-end request latency for burn-rate
 // accounting (the loadgen's per-request hook on the live plane).
 func (w *Watchdog) OnLatency(seconds float64) {
-	if !w.armed.Load() {
-		return
-	}
-	w.total.Record(seconds)
+	w.total.Stripe(0).Record(seconds)
 }
 
 // BeginRequest and RequestTotal implement the simulator's request
@@ -279,9 +254,7 @@ func (w *Watchdog) BeginRequest(now float64) { w.Advance(now) }
 // virtual time now.
 func (w *Watchdog) RequestTotal(now, total float64) {
 	w.Advance(now)
-	if w.armed.Load() {
-		w.total.Record(total)
-	}
+	w.OnLatency(total)
 }
 
 // Advance closes every rolling window that ended before now (seconds
@@ -316,22 +289,28 @@ func (w *Watchdog) Flush() {
 	w.mu.Unlock()
 }
 
-// closeWindowLocked snapshots and resets every sketch, judges the
-// frozen window idx, and fires any alerts. Caller holds w.mu.
+// drainLocked moves the open window's observations into the stages'
+// and the end-to-end window histograms. Caller holds w.mu.
+func (w *Watchdog) drainLocked() {
+	for _, ss := range w.stages {
+		w.obs.Drain(ss.stage, ss.win)
+	}
+	w.total.Drain(w.totalWin)
+}
+
+// closeWindowLocked drains the open window, judges it as window idx,
+// and fires any alerts. Caller holds w.mu.
 func (w *Watchdog) closeWindowLocked(idx int64) {
 	w.windowsClosed++
+	w.drainLocked()
 	var drifting []*stageState
 	for _, ss := range w.stages {
-		if ss == nil {
-			continue
-		}
-		snap := ss.sk.Snapshot()
-		ss.sk.Reset()
-		ss.lastCount = snap.Count()
-		if snap.Count() >= w.cfg.MinSamples {
+		win := ss.win
+		ss.lastCount = win.Count()
+		if win.Count() >= w.cfg.MinSamples {
 			obs := [3]float64{}
 			for j, q := range qprobs {
-				obs[j] = snap.Quantile(q)
+				obs[j] = win.MustQuantile(q)
 			}
 			ss.lastObs = obs
 			if ss.hasBand {
@@ -388,12 +367,12 @@ func (w *Watchdog) closeWindowLocked(idx int64) {
 		w.pushAlertLocked(a)
 	}
 
-	// Burn-rate accounting over the end-to-end latency sketch.
-	tsnap := w.total.Snapshot()
-	w.total.Reset()
+	// Burn-rate accounting: the fraction of the window's end-to-end
+	// latencies above Target (up to bucket resolution; observations in
+	// Target's own bucket count as within it).
 	frac := 0.0
-	if w.cfg.Target > 0 && tsnap.Count() > 0 {
-		frac = tsnap.FractionAbove(w.cfg.Target)
+	if w.cfg.Target > 0 && w.totalWin.Count() > 0 {
+		frac = 1 - w.totalWin.CDF(w.cfg.Target)
 	}
 	w.shortRing = pushRing(w.shortRing, frac, w.cfg.ShortWindows)
 	w.longRing = pushRing(w.longRing, frac, w.cfg.LongWindows)

@@ -16,8 +16,11 @@ import (
 type Histogram struct {
 	// growth is the per-bucket geometric growth factor (> 1).
 	growth float64
-	// logGrowth caches math.Log(growth).
-	logGrowth float64
+	// invLogGrowth caches 1/math.Log(growth) and indexBase
+	// math.Log(smallest)/math.Log(growth) − 1, so bucketIndex is one
+	// multiply and one subtract from math.Log(v).
+	invLogGrowth float64
+	indexBase    float64
 	// smallest is the lower bound of bucket index 1. Values in
 	// [0, smallest) land in bucket 0.
 	smallest float64
@@ -54,18 +57,21 @@ func NewHistogramWith(smallest, growth float64) (*Histogram, error) {
 		return nil, fmt.Errorf("stats: histogram smallest %v must be > 0", smallest)
 	}
 	return &Histogram{
-		growth:    growth,
-		logGrowth: math.Log(growth),
-		smallest:  smallest,
+		growth:       growth,
+		invLogGrowth: 1 / math.Log(growth),
+		indexBase:    math.Log(smallest)/math.Log(growth) - 1,
+		smallest:     smallest,
 	}, nil
 }
 
-// bucketIndex maps a value to its bucket.
+// bucketIndex maps a value to its bucket. It reads only the bucketing
+// parameters, which never change after construction, so a
+// HistogramStripe calls it before taking its lock.
 func (h *Histogram) bucketIndex(v float64) int {
 	if v < h.smallest {
 		return 0
 	}
-	return 1 + int(math.Log(v/h.smallest)/h.logGrowth)
+	return int(math.Log(v)*h.invLogGrowth - h.indexBase)
 }
 
 // bucketUpper returns the (exclusive) upper boundary of bucket i.
@@ -90,17 +96,40 @@ func (h *Histogram) bucketMid(i int) float64 {
 // Record adds a single non-negative observation. Negative or NaN values
 // are recorded as zero so that corrupted inputs cannot poison quantiles.
 func (h *Histogram) Record(v float64) {
+	v = sanitize(v)
+	h.add(h.bucketIndex(v), v)
+}
+
+// sanitize maps negative and NaN observations to zero.
+func sanitize(v float64) float64 {
 	if math.IsNaN(v) || v < 0 {
-		v = 0
+		return 0
 	}
-	i := h.bucketIndex(v)
+	return v
+}
+
+// add counts the sanitized observation v into bucket i.
+func (h *Histogram) add(i int, v float64) {
 	if i >= len(h.counts) {
-		grown := make([]int64, i+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		h.grow(i + 1)
 	}
 	h.counts[i]++
 	h.moments.Add(v)
+}
+
+// grow extends counts to at least n buckets. It reuses spare capacity
+// first — Reset zeroes the counts before truncating, so every slot past
+// len(counts) is zero — and allocates only when the slice is too short.
+func (h *Histogram) grow(n int) {
+	switch {
+	case n <= len(h.counts):
+	case n <= cap(h.counts):
+		h.counts = h.counts[:n]
+	default:
+		grown := make([]int64, n)
+		copy(grown, h.counts)
+		h.counts = grown
+	}
 }
 
 // Count reports the number of recorded observations.
@@ -166,11 +195,7 @@ func (h *Histogram) Merge(other *Histogram) error {
 	if h.growth != other.growth || h.smallest != other.smallest {
 		return fmt.Errorf("stats: merging histograms with different bucketing")
 	}
-	if len(other.counts) > len(h.counts) {
-		grown := make([]int64, len(other.counts))
-		copy(grown, h.counts)
-		h.counts = grown
-	}
+	h.grow(len(other.counts))
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}
@@ -178,8 +203,11 @@ func (h *Histogram) Merge(other *Histogram) error {
 	return nil
 }
 
-// Reset discards all recorded observations, keeping bucketing parameters.
+// Reset discards all recorded observations, keeping bucketing parameters
+// and the bucket slice's capacity, so recording after a Reset does not
+// allocate.
 func (h *Histogram) Reset() {
+	clear(h.counts)
 	h.counts = h.counts[:0]
 	h.moments.Reset()
 }

@@ -170,6 +170,28 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
+// TestHistogramResetRecordZeroAlloc: Reset keeps the bucket slice's
+// capacity, and the next Record must reuse it rather than allocate.
+func TestHistogramResetRecordZeroAlloc(t *testing.T) {
+	h := NewHistogram()
+	h.Record(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		h.Reset()
+		h.Record(0.5)
+		h.Record(1)
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset+Record: %v allocs/op, want 0", allocs)
+	}
+	// The reused slots start from zero: no count survives the Reset.
+	h.Reset()
+	h.Record(1e-3)
+	if h.Count() != 1 || h.CumulativeCount(10) != 1 {
+		t.Fatalf("after Reset+Record: count=%d cumulative=%d, want 1/1",
+			h.Count(), h.CumulativeCount(10))
+	}
+}
+
 func TestHistogramQuantilesBatch(t *testing.T) {
 	h := NewHistogram()
 	for i := 1; i <= 100; i++ {

@@ -11,7 +11,6 @@ package telemetry
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"memqlat/internal/stats"
 )
@@ -254,43 +253,20 @@ func (b Breakdown) String() string {
 	return sb.String()
 }
 
-// collectorStripes is the number of independent lock domains inside a
-// Collector. Power of two so Shard can mask instead of divide.
-const collectorStripes = 8
-
-// stripe is one lock domain of a Collector; it is itself a Recorder, so
-// Collector.Shard can hand it out directly.
-type stripe struct {
-	mu    sync.Mutex
-	hists [numStages]*stats.Histogram
-}
-
-// Observe implements Recorder.
-func (s *stripe) Observe(stage Stage, seconds float64) {
-	if stage < 0 || stage >= numStages {
-		return
-	}
-	s.mu.Lock()
-	s.hists[stage].Record(seconds)
-	s.mu.Unlock()
-}
-
 // Collector is a thread-safe Recorder that aggregates observations into
-// a Breakdown. Internally it is striped: workers that obtain handles via
-// Shard serialize only within their stripe, so a cluster-wide collector
-// does not become a cluster-wide lock. The zero value is NOT ready; use
-// NewCollector.
+// a Breakdown: one stats.StripedHistogram per stage, so workers that
+// obtain handles via Shard serialize only within their stripe and a
+// cluster-wide collector does not become a cluster-wide lock. The zero
+// value is NOT ready; use NewCollector.
 type Collector struct {
-	stripes [collectorStripes]stripe
+	hists [numStages]*stats.StripedHistogram
 }
 
 // NewCollector constructs an empty Collector.
 func NewCollector() *Collector {
 	c := &Collector{}
-	for s := range c.stripes {
-		for i := range c.stripes[s].hists {
-			c.stripes[s].hists[i] = stats.NewHistogram()
-		}
+	for i := range c.hists {
+		c.hists[i] = stats.NewStripedHistogram()
 	}
 	return c
 }
@@ -298,33 +274,42 @@ func NewCollector() *Collector {
 // Observe implements Recorder. Unsharded callers all land in stripe 0;
 // hot paths should take a per-worker handle via Shard instead.
 func (c *Collector) Observe(stage Stage, seconds float64) {
-	c.stripes[0].Observe(stage, seconds)
+	c.record(stage, 0, seconds)
 }
 
 // Shard implements Sharder: observations through the returned handle
 // only contend with workers mapped to the same stripe.
 func (c *Collector) Shard(hint uint64) Recorder {
-	return &c.stripes[hint&(collectorStripes-1)]
+	return collectorShard{c: c, hint: hint}
 }
 
-// Breakdown snapshots the current per-stage statistics, merged across
-// stripes.
+type collectorShard struct {
+	c    *Collector
+	hint uint64
+}
+
+func (s collectorShard) Observe(stage Stage, seconds float64) {
+	s.c.record(stage, s.hint, seconds)
+}
+
+func (c *Collector) record(stage Stage, hint uint64, seconds float64) {
+	if uint(stage) >= uint(numStages) {
+		return
+	}
+	c.hists[stage].Stripe(hint).Record(seconds)
+}
+
+// Drain resets into, moves the stage's observations into it and leaves
+// the stage empty (see stats.StripedHistogram.Drain). Rolling-window
+// consumers call it at each window boundary.
+func (c *Collector) Drain(stage Stage, into *stats.Histogram) {
+	c.hists[stage].Drain(into)
+}
+
+// Breakdown snapshots the current per-stage statistics.
 func (c *Collector) Breakdown() Breakdown {
-	merged := [numStages]*stats.Histogram{}
-	for i := range merged {
-		merged[i] = stats.NewHistogram()
-	}
-	for s := range c.stripes {
-		st := &c.stripes[s]
-		st.mu.Lock()
-		for i, h := range st.hists {
-			// Identical bucketing by construction; Merge cannot fail.
-			_ = merged[i].Merge(h)
-		}
-		st.mu.Unlock()
-	}
 	out := make(Breakdown, numStages)
-	for i, h := range merged {
+	for stage, h := range c.Histograms() {
 		st := StageStats{Count: h.Count()}
 		if st.Count > 0 {
 			st.Mean = h.Mean()
@@ -333,32 +318,19 @@ func (c *Collector) Breakdown() Breakdown {
 			st.P95 = h.MustQuantile(0.95)
 			st.P99 = h.MustQuantile(0.99)
 		}
-		out[Stage(i)] = st
+		out[stage] = st
 	}
 	return out
 }
 
-// Histograms snapshots the full per-stage distributions, merged across
-// stripes — the export surface the Prometheus registry scrapes so its
-// bucket counts agree with the Breakdown's quantiles. The returned
-// histograms are private copies; callers may mutate them freely.
+// Histograms snapshots the full per-stage distributions — the export
+// surface the Prometheus registry scrapes so its bucket counts agree
+// with the Breakdown's quantiles. The returned histograms are private
+// copies; callers may mutate them freely.
 func (c *Collector) Histograms() map[Stage]*stats.Histogram {
-	merged := [numStages]*stats.Histogram{}
-	for i := range merged {
-		merged[i] = stats.NewHistogram()
-	}
-	for s := range c.stripes {
-		st := &c.stripes[s]
-		st.mu.Lock()
-		for i, h := range st.hists {
-			// Identical bucketing by construction; Merge cannot fail.
-			_ = merged[i].Merge(h)
-		}
-		st.mu.Unlock()
-	}
 	out := make(map[Stage]*stats.Histogram, numStages)
-	for i, h := range merged {
-		out[Stage(i)] = h
+	for i, h := range c.hists {
+		out[Stage(i)] = h.Snapshot()
 	}
 	return out
 }
